@@ -291,9 +291,9 @@ pub fn derive_pooled(db: &TraceDb, config: &DeriveConfig) -> MinedRules {
 /// [`derive_pooled`] sharded across `jobs` workers; output is identical at
 /// any worker count.
 pub fn derive_pooled_par(db: &TraceDb, config: &DeriveConfig, jobs: usize) -> MinedRules {
-    use std::collections::BTreeSet;
-    let types: BTreeSet<_> = db.accesses.iter().map(|a| a.data_type).collect();
-    let types: Vec<_> = types.into_iter().collect();
+    // Groups are ordered by type first, so equal types are adjacent.
+    let mut types: Vec<DataTypeId> = db.observation_groups().iter().map(|g| g.0).collect();
+    types.dedup();
     let matrices = par_map(jobs, &types, |&dtid| AccessMatrix::build_pooled(db, dtid));
     let groups = derive_groups_sharded(db, config, jobs, &matrices, |i| {
         let dtid = types[i];

@@ -127,7 +127,14 @@ pub fn observations_for_cached(
             let lock_ids: Vec<_> = txn.locks.iter().map(|h| h.lock).collect();
             resolve_txn_locks(db, alloc_id, &lock_ids)
         });
-        *agg.entry(seq.clone()).or_insert(0) += 1;
+        // Look up by slice first: a sequence is cloned only the first
+        // time it is seen, not once per unit.
+        match agg.get_mut(seq.as_slice()) {
+            Some(count) => *count += 1,
+            None => {
+                agg.insert(seq.clone(), 1);
+            }
+        }
     }
     agg.into_iter()
         .map(|(locks, count)| Observation { locks, count })

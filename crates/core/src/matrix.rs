@@ -117,13 +117,14 @@ impl AccessMatrix {
     /// Builds a matrix pooling *all* subclasses of a data type (the
     /// type-wide view Linux documentation is written against; the paper's
     /// checker uses this granularity while the miner separates
-    /// subclasses).
+    /// subclasses). Walks the type's groups one after another; the cells
+    /// are counts, so the row order does not matter.
     pub fn build_pooled(db: &TraceDb, data_type: DataTypeId) -> Self {
-        Self::from_accesses(
-            data_type,
-            None,
-            db.accesses.iter().filter(|a| a.data_type == data_type),
-        )
+        let groups = db.observation_groups().into_iter();
+        let rows = groups
+            .filter(|g| g.0 == data_type)
+            .flat_map(|g| db.group_accesses(g));
+        Self::from_accesses(data_type, None, rows)
     }
 
     fn from_accesses(

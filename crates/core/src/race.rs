@@ -31,7 +31,7 @@
 
 use crate::lockset::{resolve_txn_locks, LockDescriptor};
 use lockdoc_platform::par::par_map;
-use lockdoc_trace::db::{FlowKey, TraceDb};
+use lockdoc_trace::db::{FlowKey, GroupKey, TraceDb};
 use lockdoc_trace::event::{AccessKind, ContextKind, SourceLoc};
 use lockdoc_trace::ids::{AllocId, DataTypeId, StackId, Sym, TxnId};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -226,7 +226,8 @@ pub fn find_races_par(db: &TraceDb, jobs: usize) -> RaceReport {
 struct Rep {
     flow: FlowKey,
     write: bool,
-    locks: BTreeSet<LockDescriptor>,
+    /// The real lockset, sorted and deduplicated.
+    locks: Vec<LockDescriptor>,
     access: RaceAccess,
 }
 
@@ -237,26 +238,62 @@ struct MemberState {
     writes: u64,
     flows: BTreeSet<FlowKey>,
     /// Intersection of effective locksets (real locks plus the per-flow
-    /// pseudo-lock); `None` until the first access.
-    candidate: Option<BTreeSet<LockDescriptor>>,
+    /// pseudo-lock); `None` until the first access. Only its emptiness is
+    /// ever read.
+    candidate: Option<Vec<LockDescriptor>>,
     reps: Vec<Rep>,
 }
 
-fn scan_group(db: &TraceDb, group: (DataTypeId, Option<Sym>)) -> GroupRaces {
-    let group_name = db.group_name(group);
-    let mut resolved: HashMap<(TxnId, AllocId), Vec<LockDescriptor>> = HashMap::new();
+/// The real lockset of one `(txn, alloc)` unit, resolved once per scan.
+#[derive(Default)]
+struct Held {
+    /// Descriptors in acquisition order, as a witness side reports them.
+    ordered: Vec<LockDescriptor>,
+    /// The same descriptors sorted, for set tests.
+    sorted: Vec<LockDescriptor>,
+}
+
+impl Held {
+    fn resolve(db: &TraceDb, txn: TxnId, alloc: AllocId) -> Self {
+        let lock_ids: Vec<_> = db.txn(txn).locks.iter().map(|h| h.lock).collect();
+        let ordered = resolve_txn_locks(db, alloc, &lock_ids);
+        let mut sorted = ordered.clone();
+        sorted.sort();
+        Held { ordered, sorted }
+    }
+}
+
+/// A flow's display name and its `flow:<name>` exclusion pseudo-lock,
+/// built once per flow per scan.
+struct Flow {
+    name: String,
+    lock: LockDescriptor,
+}
+
+impl Flow {
+    fn new(db: &TraceDb, flow: FlowKey) -> Self {
+        let name = flow_name(db, flow);
+        let lock = LockDescriptor::pseudo(&format!("flow:{name}"));
+        Flow { name, lock }
+    }
+}
+
+fn scan_group(db: &TraceDb, group: GroupKey) -> GroupRaces {
+    let mut resolved: HashMap<(TxnId, AllocId), Held> = HashMap::new();
+    let mut flows: HashMap<FlowKey, Flow> = HashMap::new();
     let mut members: BTreeMap<u32, MemberState> = BTreeMap::new();
-    let no_locks: Vec<LockDescriptor> = Vec::new();
+    let no_locks = Held::default();
 
     for access in db.group_accesses(group) {
-        let held: &Vec<LockDescriptor> = match access.txn {
-            Some(txn_id) => resolved.entry((txn_id, access.alloc)).or_insert_with(|| {
-                let txn = db.txn(txn_id);
-                let lock_ids: Vec<_> = txn.locks.iter().map(|h| h.lock).collect();
-                resolve_txn_locks(db, access.alloc, &lock_ids)
-            }),
+        let held = match access.txn {
+            Some(txn) => &*resolved
+                .entry((txn, access.alloc))
+                .or_insert_with(|| Held::resolve(db, txn, access.alloc)),
             None => &no_locks,
         };
+        let flow = flows
+            .entry(access.flow)
+            .or_insert_with(|| Flow::new(db, access.flow));
         let state = members.entry(access.member).or_default();
         state.accesses += 1;
         let write = access.kind == AccessKind::Write;
@@ -265,35 +302,33 @@ fn scan_group(db: &TraceDb, group: (DataTypeId, Option<Sym>)) -> GroupRaces {
         }
         state.flows.insert(access.flow);
 
-        // Effective lockset: real locks plus the single-core flow
-        // exclusion pseudo-lock.
-        let mut effective: BTreeSet<LockDescriptor> = held.iter().cloned().collect();
-        effective.insert(LockDescriptor::pseudo(&format!(
-            "flow:{}",
-            flow_name(db, access.flow)
-        )));
+        // Intersect with the effective lockset: real locks plus the
+        // single-core flow exclusion pseudo-lock.
         match &mut state.candidate {
-            None => state.candidate = Some(effective),
-            Some(cur) => cur.retain(|l| effective.contains(l)),
+            None => {
+                let mut effective = held.sorted.clone();
+                effective.push(flow.lock.clone());
+                state.candidate = Some(effective);
+            }
+            Some(cur) => cur.retain(|l| *l == flow.lock || held.sorted.binary_search(l).is_ok()),
         }
 
         // Representative bookkeeping for witness-pair selection: keep the
         // earliest access per (flow, write, real lockset) combination.
-        let real: BTreeSet<LockDescriptor> = held.iter().cloned().collect();
         let seen = state
             .reps
             .iter()
-            .any(|r| r.flow == access.flow && r.write == write && r.locks == real);
+            .any(|r| r.flow == access.flow && r.write == write && r.locks == held.sorted);
         if !seen {
             state.reps.push(Rep {
                 flow: access.flow,
                 write,
-                locks: real,
+                locks: held.sorted.clone(),
                 access: RaceAccess {
                     kind: access.kind,
                     context: access.context,
-                    flow: flow_name(db, access.flow),
-                    held: held.clone(),
+                    flow: flow.name.clone(),
+                    held: held.ordered.clone(),
                     loc: access.loc,
                     stack: access.stack,
                     access_id: access.id,
@@ -301,7 +336,14 @@ fn scan_group(db: &TraceDb, group: (DataTypeId, Option<Sym>)) -> GroupRaces {
             });
         }
     }
+    finish_group(db, group, &members)
+}
 
+/// Turns the per-member states of one group into its race summary:
+/// members whose candidate lockset emptied out and that saw a write are
+/// reported with a witness pair, or tallied as pairless.
+fn finish_group(db: &TraceDb, group: GroupKey, members: &BTreeMap<u32, MemberState>) -> GroupRaces {
+    let group_name = db.group_name(group);
     let mut out = GroupRaces {
         group_name: group_name.clone(),
         data_type: group.0,
@@ -310,7 +352,7 @@ fn scan_group(db: &TraceDb, group: (DataTypeId, Option<Sym>)) -> GroupRaces {
         pairless: 0,
         candidates: Vec::new(),
     };
-    for (member, state) in &members {
+    for (member, state) in members {
         let empty = state.candidate.as_ref().is_some_and(|c| c.is_empty());
         if !empty || state.writes == 0 {
             continue;
@@ -344,7 +386,7 @@ fn best_pair(reps: &[Rep]) -> Option<RacePair> {
             if a.flow == b.flow || (!a.write && !b.write) {
                 continue;
             }
-            if a.locks.intersection(&b.locks).next().is_some() {
+            if a.locks.iter().any(|l| b.locks.binary_search(l).is_ok()) {
                 continue;
             }
             let (first, second) = if a.access.access_id <= b.access.access_id {
@@ -380,6 +422,108 @@ fn best_pair(reps: &[Rep]) -> Option<RacePair> {
 mod tests {
     use super::*;
     use crate::clock::clock_db;
+
+    /// The per-access loop as it was before the resolution and flow
+    /// caches, kept as a naive reference: it filters the whole access
+    /// table per group, resolves every access's lockset from scratch and
+    /// builds the effective lockset as a fresh set each time.
+    fn find_races_reference(db: &TraceDb) -> RaceReport {
+        let groups: BTreeSet<GroupKey> = db
+            .accesses
+            .iter()
+            .map(|a| (a.data_type, a.subclass))
+            .collect();
+        let groups = groups
+            .into_iter()
+            .map(|group| {
+                let mut members: BTreeMap<u32, MemberState> = BTreeMap::new();
+                let rows = db
+                    .accesses
+                    .iter()
+                    .filter(|a| (a.data_type, a.subclass) == group);
+                for access in rows {
+                    let held: Vec<LockDescriptor> = match access.txn {
+                        Some(txn) => {
+                            let ids: Vec<_> = db.txn(txn).locks.iter().map(|h| h.lock).collect();
+                            resolve_txn_locks(db, access.alloc, &ids)
+                        }
+                        None => Vec::new(),
+                    };
+                    let state = members.entry(access.member).or_default();
+                    state.accesses += 1;
+                    let write = access.kind == AccessKind::Write;
+                    if write {
+                        state.writes += 1;
+                    }
+                    state.flows.insert(access.flow);
+                    let mut effective: BTreeSet<LockDescriptor> = held.iter().cloned().collect();
+                    effective.insert(LockDescriptor::pseudo(&format!(
+                        "flow:{}",
+                        flow_name(db, access.flow)
+                    )));
+                    match &mut state.candidate {
+                        None => state.candidate = Some(effective.into_iter().collect()),
+                        Some(cur) => cur.retain(|l| effective.contains(l)),
+                    }
+                    let real: BTreeSet<LockDescriptor> = held.iter().cloned().collect();
+                    let seen = state.reps.iter().any(|r| {
+                        r.flow == access.flow && r.write == write && r.locks.iter().eq(&real)
+                    });
+                    if !seen {
+                        state.reps.push(Rep {
+                            flow: access.flow,
+                            write,
+                            locks: real.into_iter().collect(),
+                            access: RaceAccess {
+                                kind: access.kind,
+                                context: access.context,
+                                flow: flow_name(db, access.flow),
+                                held,
+                                loc: access.loc,
+                                stack: access.stack,
+                                access_id: access.id,
+                            },
+                        });
+                    }
+                }
+                finish_group(db, group, &members)
+            })
+            .collect();
+        RaceReport { groups }
+    }
+
+    /// The cached, index-driven detector equals the naive reference on
+    /// random multi-flow traces, serially and sharded.
+    #[test]
+    fn race_scan_matches_naive_reference() {
+        use lockdoc_platform::prop::{self, vec_of};
+        use lockdoc_platform::prop_assert_eq;
+        use lockdoc_platform::rng::Rng;
+        use lockdoc_trace::filter::FilterConfig;
+        use lockdoc_trace::testgen::{build_multiflow_trace, flow_op_gen};
+        let cfg = prop::Config {
+            cases: 60,
+            ..prop::Config::from_env()
+        };
+        let gen = |rng: &mut Rng| vec_of(rng, 0..400, flow_op_gen);
+        prop::check_with(&cfg, "race_scan_matches_naive_reference", gen, |ops| {
+            let db = lockdoc_trace::db::import(
+                &build_multiflow_trace(ops),
+                &FilterConfig::with_defaults(),
+                1,
+            );
+            let reference = find_races_reference(&db);
+            for jobs in [1usize, 4] {
+                prop_assert_eq!(
+                    &find_races_par(&db, jobs),
+                    &reference,
+                    "race report differs at jobs = {}",
+                    jobs
+                );
+            }
+            Ok(())
+        });
+    }
 
     #[test]
     fn clean_clock_trace_has_no_candidates() {

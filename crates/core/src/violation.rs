@@ -10,7 +10,7 @@ use lockdoc_platform::par::par_map;
 use lockdoc_trace::db::TraceDb;
 use lockdoc_trace::event::{AccessKind, SourceLoc};
 use lockdoc_trace::ids::{AllocId, StackId, TxnId};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 /// One rule-violating memory access.
 #[derive(Debug, Clone, PartialEq)]
@@ -121,8 +121,9 @@ fn scan_group(db: &TraceDb, group_rules: &GroupRules, max_examples: usize) -> Gr
         per_member: Vec::new(),
         examples: Vec::new(),
     };
-    let mut tallies: std::collections::BTreeMap<(String, AccessKind), (u64, u64)> =
-        std::collections::BTreeMap::new();
+    // Keyed by borrowed member names; owned only when the group is done.
+    let mut tallies: BTreeMap<(&str, AccessKind), (u64, u64)> = BTreeMap::new();
+    let mut members: BTreeSet<&str> = BTreeSet::new();
     if !ruled.is_empty() {
         // Write-over-read folding (paper Sec. 4.2) applies to the scan
         // as well: a read inside a unit that also writes the member is
@@ -143,35 +144,30 @@ fn scan_group(db: &TraceDb, group_rules: &GroupRules, max_examples: usize) -> Gr
             {
                 continue;
             }
-            let held = resolved
-                .entry((txn_id, access.alloc))
-                .or_insert_with(|| {
-                    let txn = db.txn(txn_id);
-                    let lock_ids: Vec<_> = txn.locks.iter().map(|h| h.lock).collect();
-                    resolve_txn_locks(db, access.alloc, &lock_ids)
-                })
-                .clone();
-            if complies(&held, required) {
+            let held = resolved.entry((txn_id, access.alloc)).or_insert_with(|| {
+                let txn = db.txn(txn_id);
+                let lock_ids: Vec<_> = txn.locks.iter().map(|h| h.lock).collect();
+                resolve_txn_locks(db, access.alloc, &lock_ids)
+            });
+            if complies(held, required) {
                 continue;
             }
             gv.events += 1;
-            let member_name = db.member_name(access.data_type, access.member).to_owned();
-            let tally = tallies
-                .entry((member_name.clone(), access.kind))
-                .or_default();
+            let member_name = db.member_name(access.data_type, access.member);
+            let tally = tallies.entry((member_name, access.kind)).or_default();
             tally.0 += 1;
             if access.context != lockdoc_trace::event::ContextKind::Task {
                 tally.1 += 1;
             }
-            gv.members.insert(member_name);
+            members.insert(member_name);
             gv.contexts.insert((access.loc, access.stack));
             if gv.examples.len() < max_examples {
                 gv.examples.push(ViolationEvent {
                     group_name: gv.group_name.clone(),
-                    member_name: db.member_name(access.data_type, access.member).to_owned(),
+                    member_name: member_name.to_owned(),
                     kind: access.kind,
                     required: required.clone(),
-                    held,
+                    held: held.clone(),
                     loc: access.loc,
                     stack: access.stack,
                     access_id: access.id,
@@ -179,11 +175,12 @@ fn scan_group(db: &TraceDb, group_rules: &GroupRules, max_examples: usize) -> Gr
             }
         }
     }
+    gv.members = members.into_iter().map(str::to_owned).collect();
     gv.per_member = tallies
         .into_iter()
         .map(
             |((member_name, kind), (events, irq_events))| MemberViolationCounts {
-                member_name,
+                member_name: member_name.to_owned(),
                 kind,
                 events,
                 irq_events,

@@ -20,10 +20,17 @@
 //! because rows are only ever appended in id order — both the serial
 //! importer and the parallel merge push row `i` before row `i + 1` — so
 //! structural equality of two tables is exactly row-wise equality.
+//!
+//! [`AccessTable`] also carries one piece of *derived* data: a lazily
+//! built `GroupIndex` from observation group to its row ids, so that
+//! group-sharded analyses touch only their own rows. It is never
+//! persisted, never compared, and dropped by every [`AccessTable::push`].
 
 use crate::db::schema::{Access, FlowKey, HeldLock, Txn};
 use crate::event::{AccessKind, ContextKind, SourceLoc};
 use crate::ids::{AllocId, DataTypeId, FnId, StackId, Sym, Timestamp, TxnId};
+use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 /// Sentinel for "no subclass" in the packed subclass column.
 pub(crate) const NO_SUBCLASS: u32 = u32::MAX;
@@ -54,6 +61,35 @@ pub struct AccessTable {
     pub(crate) stack: Vec<StackId>,
     pub(crate) flow: Vec<FlowKey>,
     pub(crate) context: Vec<ContextKind>,
+    /// Derived row index per observation group (see `GroupIndex`).
+    pub(crate) groups: GroupIndex,
+}
+
+/// An observation group: `(data type, subclass)`.
+pub type GroupKey = (DataTypeId, Option<Sym>);
+
+/// Row ids of every observation group, ascending, built on first use.
+///
+/// This is a cache over the `data_type`/`subclass` columns, not table
+/// content: it is never written to the cached archive, two tables compare
+/// equal whether or not either has built it, and [`AccessTable::push`]
+/// resets it. Building it is one pass over two columns; the row ids are
+/// `u32`, four bytes per access.
+#[derive(Clone, Default)]
+pub(crate) struct GroupIndex(OnceLock<BTreeMap<GroupKey, Vec<u32>>>);
+
+impl PartialEq for GroupIndex {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl std::fmt::Debug for GroupIndex {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("GroupIndex")
+            .field("built", &self.0.get().is_some())
+            .finish()
+    }
 }
 
 impl AccessTable {
@@ -71,6 +107,7 @@ impl AccessTable {
     /// implicit and dense).
     pub fn push(&mut self, a: Access) {
         debug_assert_eq!(a.id, self.len() as u64, "access ids are row indices");
+        self.groups.0.take();
         self.ts.push(a.ts);
         self.kind.push(a.kind);
         self.alloc.push(a.alloc);
@@ -117,6 +154,21 @@ impl AccessTable {
     /// Iterates over all rows as [`Access`] values in id order.
     pub fn iter(&self) -> impl Iterator<Item = Access> + '_ {
         (0..self.len()).map(|i| self.get(i))
+    }
+
+    /// The group index: every observation group with at least one row,
+    /// in `(data type, subclass)` order, mapped to its ascending row ids.
+    /// Built on the first call.
+    pub(crate) fn group_index(&self) -> &BTreeMap<GroupKey, Vec<u32>> {
+        self.groups.0.get_or_init(|| {
+            let mut index: BTreeMap<GroupKey, Vec<u32>> = BTreeMap::new();
+            for (i, (&dt, &sub)) in self.data_type.iter().zip(&self.subclass).enumerate() {
+                let key = (dt, (sub != NO_SUBCLASS).then_some(Sym(sub)));
+                let row = u32::try_from(i).expect("access row ids fit in u32");
+                index.entry(key).or_default().push(row);
+            }
+            index
+        })
     }
 }
 

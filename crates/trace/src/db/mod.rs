@@ -11,7 +11,7 @@ pub mod resilient;
 pub mod schema;
 
 pub use archive::{filter_fingerprint, fnv1a, read_archive, write_archive};
-pub use columns::{AccessTable, StackTable, TxnTable, TxnView};
+pub use columns::{AccessTable, GroupKey, StackTable, TxnTable, TxnView};
 pub use import::{import, import_stream, ImportStats};
 pub use resilient::{
     import_resilient, import_strict, ImportError, ImportPolicy, ImportReport, QuarantineClass,
@@ -22,14 +22,13 @@ pub use schema::{Access, Allocation, FlowKey, HeldLock, LockInstance, StackTrace
 use crate::codec::write_csv_field;
 use crate::event::{DataTypeDef, TraceMeta};
 use crate::ids::{DataTypeId, FnId, LockId, StackId, Sym, TxnId};
-use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 /// The imported, queryable form of a trace.
 ///
-/// Equality is structural over every table and counter; the parallel
-/// importer's determinism contract (`import` at any `jobs`) is stated in
-/// terms of it.
+/// Equality is structural over every table and counter (the access
+/// table's derived group index excepted); the parallel importer's
+/// determinism contract (`import` at any `jobs`) is stated in terms of it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceDb {
     /// Static metadata shared with the source trace (no deep copy: the
@@ -108,34 +107,29 @@ impl TraceDb {
     /// Subclassed types (paper Sec. 5.3: `struct inode` per filesystem) are
     /// derived per subclass; unsubclassed types form a single group with
     /// `subclass = None`.
-    pub fn observation_groups(&self) -> Vec<(DataTypeId, Option<Sym>)> {
-        let set: BTreeSet<(DataTypeId, Option<Sym>)> = self
-            .accesses
-            .iter()
-            .map(|a| (a.data_type, a.subclass))
-            .collect();
-        set.into_iter().collect()
+    pub fn observation_groups(&self) -> Vec<GroupKey> {
+        self.accesses.group_index().keys().copied().collect()
     }
 
     /// Human-readable name of an observation group, e.g. `inode:ext4`.
-    pub fn group_name(&self, group: (DataTypeId, Option<Sym>)) -> String {
+    pub fn group_name(&self, group: GroupKey) -> String {
         match group.1 {
             Some(sub) => format!("{}:{}", self.type_name(group.0), self.sym(sub)),
             None => self.type_name(group.0).to_owned(),
         }
     }
 
-    /// Iterates over accesses belonging to one observation group.
+    /// Iterates over accesses belonging to one observation group, in
+    /// ascending id order.
     ///
-    /// Rows are materialized by value from the columnar table ([`Access`]
-    /// is `Copy`).
-    pub fn group_accesses(
-        &self,
-        group: (DataTypeId, Option<Sym>),
-    ) -> impl Iterator<Item = Access> + '_ {
-        self.accesses
-            .iter()
-            .filter(move |a| a.data_type == group.0 && a.subclass == group.1)
+    /// Walks only the group's rows via the table's group index; rows are
+    /// materialized by value from the columnar table ([`Access`] is
+    /// `Copy`).
+    pub fn group_accesses(&self, group: GroupKey) -> impl Iterator<Item = Access> + '_ {
+        let rows = self.accesses.group_index().get(&group);
+        rows.into_iter()
+            .flatten()
+            .map(|&i| self.accesses.get(i as usize))
     }
 
     /// Renders a stack trace as `outer -> ... -> inner`.
@@ -251,6 +245,8 @@ mod tests {
     };
     use crate::filter::FilterConfig;
     use crate::ids::{AllocId, TaskId};
+    use lockdoc_platform::prop_assert_ne;
+    use std::collections::BTreeSet;
 
     /// Builds a small trace exercising nesting, reentrancy, contexts and
     /// filtering, roughly following the paper's Fig. 4 clock example.
@@ -497,6 +493,92 @@ mod tests {
         assert_eq!(groups.len(), 1);
         assert_eq!(db.group_name(groups[0]), "clock");
         assert_eq!(db.group_accesses(groups[0]).count(), 4);
+    }
+
+    /// The pre-index group scan: every row materialized, filtered by
+    /// group, groups collected into a `BTreeSet`.
+    fn filter_scan(db: &TraceDb) -> Vec<(GroupKey, Vec<Access>)> {
+        let groups: BTreeSet<GroupKey> = db
+            .accesses
+            .iter()
+            .map(|a| (a.data_type, a.subclass))
+            .collect();
+        groups
+            .into_iter()
+            .map(|g| {
+                let rows = db
+                    .accesses
+                    .iter()
+                    .filter(|a| a.data_type == g.0 && a.subclass == g.1)
+                    .collect();
+                (g, rows)
+            })
+            .collect()
+    }
+
+    fn indexed_scan(db: &TraceDb) -> Vec<(GroupKey, Vec<Access>)> {
+        db.observation_groups()
+            .into_iter()
+            .map(|g| (g, db.group_accesses(g).collect()))
+            .collect()
+    }
+
+    /// The indexed group walk equals the filter scan on random multi-flow
+    /// traces: same groups in the same order, same rows in ascending id
+    /// order. Checked on a fresh import, after an archive round-trip, and
+    /// after a `push` that follows an index build; equality ignores
+    /// whether an index is built.
+    #[test]
+    fn group_index_matches_filter_scan() {
+        use crate::testgen::{build_multiflow_trace, flow_op_gen};
+        use lockdoc_platform::prop::{self, vec_of};
+        use lockdoc_platform::rng::Rng;
+        use lockdoc_platform::{prop_assert, prop_assert_eq};
+        let cfg = prop::Config {
+            cases: 40,
+            ..prop::Config::from_env()
+        };
+        let gen = |rng: &mut Rng| vec_of(rng, 0..250, flow_op_gen);
+        prop::check_with(&cfg, "group_index_matches_filter_scan", gen, |ops| {
+            let config = FilterConfig::with_defaults();
+            let db = import(&build_multiflow_trace(ops), &config, 1);
+            let unindexed = db.clone();
+            let reference = filter_scan(&db);
+            prop_assert_eq!(&indexed_scan(&db), &reference, "fresh import");
+            for (_, rows) in &reference {
+                prop_assert!(rows.windows(2).all(|w| w[0].id < w[1].id));
+            }
+            prop_assert_eq!(&db, &unindexed, "indexed == unindexed");
+            prop_assert_eq!(&unindexed, &db, "unindexed == indexed");
+
+            let fp = filter_fingerprint(&config);
+            let bytes = write_archive(&db, 7, fp);
+            let back = read_archive(&bytes, 7, fp, std::sync::Arc::clone(&db.meta))
+                .expect("archive round-trips");
+            prop_assert_eq!(&indexed_scan(&back), &reference, "archive-loaded");
+
+            // A push after the index was built must drop it: the new row
+            // lands in a group of its own and in the walk of that group.
+            let mut grown = db.clone();
+            grown.accesses.push(Access {
+                id: grown.accesses.len() as u64,
+                ts: u64::MAX,
+                kind: AccessKind::Write,
+                alloc: AllocId(99),
+                data_type: DataTypeId(1),
+                subclass: Some(Sym(0)),
+                member: 1,
+                size: 8,
+                loc: SourceLoc::new(Sym(0), 1),
+                txn: None,
+                stack: StackId(0),
+                flow: FlowKey::Irq(1),
+                context: ContextKind::Hardirq,
+            });
+            prop_assert_eq!(&indexed_scan(&grown), &filter_scan(&grown), "after push");
+            prop_assert_ne!(&grown, &db);
+            Ok(())
+        });
     }
 
     #[test]

@@ -29,6 +29,7 @@ pub mod filter;
 pub mod ids;
 pub mod jsonio;
 pub mod merge;
+pub mod testgen;
 
 pub use corpus::{screen_trace, CorpusStore, Health, LoadedTrace, ScreenReport};
 pub use db::{import, import_resilient, TraceDb};

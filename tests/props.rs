@@ -28,6 +28,7 @@ use lockdoc_trace::event::{
 };
 use lockdoc_trace::filter::FilterConfig;
 use lockdoc_trace::ids::{AllocId, TaskId};
+use lockdoc_trace::testgen::{build_multiflow_trace, flow_op_gen};
 
 /// A tiny abstract program: operations on two locks and one object with
 /// two members, from which both a trace and a reference lock-state
@@ -355,162 +356,6 @@ fn derive_is_jobs_invariant() {
         }
         Ok(())
     });
-}
-
-/// One step of the multi-flow trace generator behind
-/// [`import_is_jobs_invariant`]: unlike [`Op`] it exercises task
-/// switches, interrupt contexts, allocation churn (including adversarial
-/// double frees and overlapping allocs), function frames, and lock ops on
-/// both static and unknown addresses — every partitioning decision the
-/// parallel importer makes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum FlowOp {
-    Switch(u8),
-    IrqEnter(bool), // true = hardirq
-    IrqExit(bool),
-    Lock(u8),
-    Unlock(u8),
-    Alloc(u8),            // slot 0..3
-    Free(u8),             // slot (may double-free)
-    Access(u8, u8, bool), // slot, member 0..1, is_write
-    FnEnter(u8),
-    FnExit(u8),
-}
-
-impl Shrink for FlowOp {}
-
-fn flow_op_gen(rng: &mut Rng) -> FlowOp {
-    match rng.gen_range(0u8..10) {
-        0 => FlowOp::Switch(rng.gen_range(0u8..3)),
-        1 => FlowOp::IrqEnter(rng.gen_bool(0.5)),
-        2 => FlowOp::IrqExit(rng.gen_bool(0.5)),
-        3 => FlowOp::Lock(rng.gen_range(0u8..2)),
-        4 => FlowOp::Unlock(rng.gen_range(0u8..2)),
-        5 => FlowOp::Alloc(rng.gen_range(0u8..3)),
-        6 => FlowOp::Free(rng.gen_range(0u8..3)),
-        7 => FlowOp::FnEnter(rng.gen_range(0u8..3)),
-        8 => FlowOp::FnExit(rng.gen_range(0u8..3)),
-        _ => FlowOp::Access(
-            rng.gen_range(0u8..3),
-            rng.gen_range(0u8..2),
-            rng.gen_bool(0.5),
-        ),
-    }
-}
-
-/// Builds a trace from flow ops *without* sanitizing: the importer must
-/// treat malformed input (double frees, unbalanced contexts, unknown-lock
-/// releases) identically on the serial and parallel paths.
-fn build_multiflow_trace(ops: &[FlowOp]) -> Trace {
-    use lockdoc_trace::event::ContextKind;
-    let mut tr = Trace::new();
-    let file = tr.meta_mut().strings.intern("flow.c");
-    let lname = tr.meta_mut().strings.intern("lk");
-    let dt = tr.meta_mut().add_data_type(DataTypeDef {
-        name: "obj".into(),
-        size: 16,
-        members: vec![
-            MemberDef {
-                name: "m0".into(),
-                offset: 0,
-                size: 8,
-                atomic: false,
-                is_lock: false,
-            },
-            MemberDef {
-                name: "m1".into(),
-                offset: 8,
-                size: 8,
-                atomic: false,
-                is_lock: false,
-            },
-        ],
-    });
-    for t in 0..3 {
-        tr.meta_mut().add_task(&format!("t{t}"));
-    }
-    for f in 0..3 {
-        tr.meta_mut().add_function(&format!("f{f}"));
-    }
-    let loc = SourceLoc::new(file, 7);
-    let mut ts = 0u64;
-    let mut push = |tr: &mut Trace, e: Event| {
-        ts += 1;
-        tr.push(ts, e);
-    };
-    push(&mut tr, Event::TaskSwitch { task: TaskId(0) });
-    for l in 0..2u64 {
-        push(
-            &mut tr,
-            Event::LockInit {
-                addr: 0x100 + 0x100 * l,
-                name: lname,
-                flavor: LockFlavor::Spinlock,
-                is_static: true,
-            },
-        );
-    }
-    let mut next_alloc = 1u64;
-    for op in ops {
-        let ctx = |h: bool| {
-            if h {
-                ContextKind::Hardirq
-            } else {
-                ContextKind::Softirq
-            }
-        };
-        let e = match *op {
-            FlowOp::Switch(t) => Event::TaskSwitch {
-                task: TaskId(u32::from(t)),
-            },
-            FlowOp::IrqEnter(h) => Event::ContextEnter { kind: ctx(h) },
-            FlowOp::IrqExit(h) => Event::ContextExit { kind: ctx(h) },
-            FlowOp::Lock(l) => Event::LockAcquire {
-                addr: 0x100 + 0x100 * u64::from(l),
-                mode: AcquireMode::Exclusive,
-                loc,
-            },
-            FlowOp::Unlock(l) => Event::LockRelease {
-                addr: 0x100 + 0x100 * u64::from(l),
-                loc,
-            },
-            FlowOp::Alloc(s) => {
-                let id = AllocId(next_alloc);
-                next_alloc += 1;
-                Event::Alloc {
-                    id,
-                    addr: 0x1000 + 0x100 * u64::from(s),
-                    size: 16,
-                    data_type: dt,
-                    subclass: None,
-                }
-            }
-            // Adversarial: frees by the *first* id that targeted the slot;
-            // repeat frees of the same slot become double frees.
-            FlowOp::Free(s) => Event::Free {
-                id: AllocId(u64::from(s) + 1),
-            },
-            FlowOp::Access(s, m, w) => Event::MemAccess {
-                kind: if w {
-                    AccessKind::Write
-                } else {
-                    AccessKind::Read
-                },
-                addr: 0x1000 + 0x100 * u64::from(s) + 8 * u64::from(m),
-                size: 8,
-                loc,
-                atomic: false,
-            },
-            FlowOp::FnEnter(f) => Event::FnEnter {
-                func: lockdoc_trace::ids::FnId(u32::from(f)),
-            },
-            FlowOp::FnExit(f) => Event::FnExit {
-                func: lockdoc_trace::ids::FnId(u32::from(f)),
-            },
-        };
-        push(&mut tr, e);
-    }
-    tr
 }
 
 /// The flow-partitioned parallel importer is output-invariant in the
