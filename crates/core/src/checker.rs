@@ -8,12 +8,14 @@
 //! touched are reported as **not observed** (the `#No` column of Tab. 4).
 
 use crate::hypothesis::{complies, observations_for_cached, ResolutionCache};
+use crate::lockset::DescriptorTable;
 use crate::matrix::AccessMatrix;
 use crate::rulespec::RuleSpec;
 use lockdoc_platform::par::{chunks_for, par_map};
 use lockdoc_trace::db::TraceDb;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Classification of a documented rule against the trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,9 +69,10 @@ pub fn check_rules(db: &TraceDb, rules: &[RuleSpec]) -> Vec<CheckedRule> {
 
 /// [`check_rules`] sharded across `jobs` workers: matrices build in
 /// parallel per observation group, then contiguous rule chunks are checked
-/// in parallel with a per-chunk [`ResolutionCache`]. Results are identical
-/// to the serial path at any worker count (`jobs = 1` is one chunk with
-/// one cache — the exact serial path).
+/// in parallel with a per-chunk [`ResolutionCache`] over one shared
+/// descriptor table. Results are identical to the serial path at any
+/// worker count (`jobs = 1` is one chunk with one cache — the exact
+/// serial path).
 pub fn check_rules_par(db: &TraceDb, rules: &[RuleSpec], jobs: usize) -> Vec<CheckedRule> {
     // Build matrices once per observation group.
     let groups = db.observation_groups();
@@ -80,8 +83,9 @@ pub fn check_rules_par(db: &TraceDb, rules: &[RuleSpec], jobs: usize) -> Vec<Che
             .collect();
 
     let chunks = chunks_for(jobs, rules);
+    let table = Arc::new(DescriptorTable::build(db));
     let parts = par_map(jobs, &chunks, |chunk| {
-        let mut cache = ResolutionCache::new();
+        let mut cache = ResolutionCache::with_table(Arc::clone(&table));
         chunk
             .iter()
             .map(|rule| check_one_rule(db, &groups, &matrices, rule, &mut cache))

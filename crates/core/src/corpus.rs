@@ -29,7 +29,7 @@
 
 use crate::derive::{DeriveConfig, GroupRules, MinedRule, MinedRules};
 use crate::hypothesis::{enumerate, observations_for_cached, Observation, ResolutionCache};
-use crate::lockset::LockDescriptor;
+use crate::lockset::{DescriptorTable, LockDescriptor};
 use crate::matrix::AccessMatrix;
 use crate::select::select;
 use lockdoc_platform::par::par_map;
@@ -37,6 +37,7 @@ use lockdoc_trace::db::{fnv1a, TraceDb};
 use lockdoc_trace::event::{AccessKind, TraceMeta};
 use lockdoc_trace::ids::{DataTypeId, Sym};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// All aggregated observations of one member of one observation group.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,9 +82,10 @@ pub struct TraceMatrix {
 /// worker count.
 pub fn build_trace_matrix(db: &TraceDb, jobs: usize) -> TraceMatrix {
     let group_keys = db.observation_groups();
+    let table = Arc::new(DescriptorTable::build(db));
     let groups = par_map(jobs, &group_keys, |&g| {
         let matrix = AccessMatrix::build(db, g);
-        let mut cache = ResolutionCache::new();
+        let mut cache = ResolutionCache::with_table(Arc::clone(&table));
         let members = matrix
             .observed_members()
             .iter()

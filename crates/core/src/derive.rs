@@ -19,12 +19,14 @@
 //! path: one cache, every shard).
 
 use crate::hypothesis::{enumerate, observations_for_cached, Hypothesis, ResolutionCache};
+use crate::lockset::DescriptorTable;
 use crate::matrix::AccessMatrix;
 use crate::select::{select, SelectionConfig, Winner};
 use lockdoc_platform::par::{chunks_for, par_map, par_map_init};
 use lockdoc_trace::db::TraceDb;
 use lockdoc_trace::event::AccessKind;
 use lockdoc_trace::ids::{DataTypeId, Sym};
+use std::sync::Arc;
 
 /// Derivation parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -260,7 +262,9 @@ fn rules_from_matrix(
 ) -> (Vec<MinedRule>, u64) {
     let members = matrix.observed_members();
     let chunks = chunks_for(jobs, &members);
-    let parts = par_map_init(jobs, &chunks, ResolutionCache::new, |cache, chunk| {
+    let table = Arc::new(DescriptorTable::build(db));
+    let init = || ResolutionCache::with_table(Arc::clone(&table));
+    let parts = par_map_init(jobs, &chunks, init, |cache, chunk| {
         rules_for_members(db, matrix, chunk, config, cache)
     });
     merge_rule_parts(parts)
@@ -346,15 +350,17 @@ fn derive_groups_sharded(
             shards.push((gi, chunk));
         }
     }
-    // Per-worker cache, cleared on group change: a unit's allocation
-    // belongs to exactly one group, so entries never hit across groups —
-    // carrying them over would only grow the map. Within a group, member
-    // chunks share units heavily, and a worker that processes several
-    // chunks of the same group in a row resolves each unit once.
+    // Per-worker cache over one shared descriptor table, cleared on group
+    // change: a unit's allocation belongs to exactly one group, so entries
+    // never hit across groups — carrying them over would only grow the
+    // map. Within a group, member chunks share units heavily, and a worker
+    // that processes several chunks of the same group in a row resolves
+    // each unit once.
+    let table = Arc::new(DescriptorTable::build(db));
     let shard_results = par_map_init(
         jobs,
         &shards,
-        || (usize::MAX, ResolutionCache::new()),
+        || (usize::MAX, ResolutionCache::with_table(Arc::clone(&table))),
         |(last_gi, cache), &(gi, chunk)| {
             if *last_gi != gi {
                 cache.clear();

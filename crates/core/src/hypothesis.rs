@@ -14,18 +14,108 @@
 //! produced. An exhaustive permutation mode exists for demonstration
 //! purposes (paper Tab. 2 lists a zero-support hypothesis).
 
-use crate::lockset::{format_sequence, resolve_txn_locks, LockDescriptor};
+use crate::lockset::{format_sequence, DescriptorTable, LockDescriptor};
 use crate::matrix::{MemberMatrix, Unit};
+use lockdoc_platform::hash::FastMap;
 use lockdoc_trace::db::TraceDb;
 use lockdoc_trace::event::AccessKind;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
-/// Cache of resolved held-lock descriptor sequences per observation unit.
+/// Cache of resolved held-lock sequences per observation unit, as
+/// sequences of ranked descriptor ids (`lockset::DescriptorTable`).
 ///
 /// Members of one group largely share transactions, so resolving each
 /// `(txn, alloc)` pair once and reusing it across all members avoids
-/// quadratic re-resolution (the violation finder uses the same pattern).
-pub type ResolutionCache = HashMap<Unit, Vec<LockDescriptor>>;
+/// quadratic re-resolution. Each distinct id sequence is interned once, so
+/// a unit costs one map lookup and the passes count, compare and tally
+/// sequence ids instead of descriptor strings. A cache serves a single
+/// store: its descriptor table is built from the first store it is used
+/// with, unless a pass hands in one table for all its workers.
+#[derive(Debug, Default)]
+pub struct ResolutionCache {
+    /// The table the ids index.
+    table: Option<Arc<DescriptorTable>>,
+    /// Unit → interned sequence id.
+    units: FastMap<Unit, u32>,
+    /// Interned sequences by id, and the reverse lookup.
+    seqs: Vec<Box<[u32]>>,
+    seq_ids: FastMap<Box<[u32]>, u32>,
+    /// Scratch for one resolution.
+    scratch: Vec<u32>,
+    /// Per-sequence tallies of one [`observations_for_cached`] call (all
+    /// zero between calls) and the ids it touched.
+    counts: Vec<u64>,
+    touched: Vec<u32>,
+}
+
+impl ResolutionCache {
+    /// An empty cache; the descriptor table is built on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// An empty cache over a table already built for the store, so
+    /// workers of one pass share a single table.
+    pub(crate) fn with_table(table: Arc<DescriptorTable>) -> Self {
+        ResolutionCache {
+            table: Some(table),
+            ..Self::default()
+        }
+    }
+
+    /// Forgets every cached unit and sequence, keeping the table.
+    pub fn clear(&mut self) {
+        self.units.clear();
+        self.seqs.clear();
+        self.seq_ids.clear();
+        self.counts.clear();
+    }
+
+    /// The descriptor table of `db`, built on first use.
+    pub(crate) fn table(&mut self, db: &TraceDb) -> &Arc<DescriptorTable> {
+        self.table
+            .get_or_insert_with(|| Arc::new(DescriptorTable::build(db)))
+    }
+
+    /// The interned id of `unit`'s complete held-lock sequence, resolving
+    /// it on first sight.
+    ///
+    /// The *complete* sequence is cached: the checker and the violation
+    /// finder judge compliance against it, and a truncated entry would
+    /// silently hide held locks from their counterexamples. Enumeration
+    /// applies its own [`MAX_SEQ_LEN`] cap.
+    pub(crate) fn resolve(&mut self, db: &TraceDb, unit: Unit) -> u32 {
+        if let Some(&id) = self.units.get(&unit) {
+            return id;
+        }
+        let (txn_id, alloc_id) = unit;
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let table = self.table(db);
+        table.resolve_into(alloc_id, db.txn(txn_id).locks, &mut scratch);
+        let id = self.intern(&scratch);
+        self.scratch = scratch;
+        self.units.insert(unit, id);
+        id
+    }
+
+    /// The id of `seq`, interning it on first sight. Equal sequences share
+    /// one id.
+    pub(crate) fn intern(&mut self, seq: &[u32]) -> u32 {
+        if let Some(&id) = self.seq_ids.get(seq) {
+            return id;
+        }
+        let id = self.seqs.len() as u32;
+        self.seqs.push(seq.into());
+        self.seq_ids.insert(seq.into(), id);
+        id
+    }
+
+    /// The sequence with id `id`.
+    pub(crate) fn sequence(&self, id: u32) -> &[u32] {
+        &self.seqs[id as usize]
+    }
+}
 
 /// Maximum observed lock-sequence length considered for subsequence
 /// enumeration; only the first `MAX_SEQ_LEN` held locks of a longer
@@ -108,37 +198,45 @@ pub fn observations_for(db: &TraceDb, matrix: &MemberMatrix, kind: AccessKind) -
 
 /// [`observations_for`] with a caller-provided resolution cache, for use
 /// when iterating many members of the same group.
+///
+/// Units are tallied per interned sequence id; each distinct sequence is
+/// turned back into descriptors once. Sorting by id sequence orders
+/// exactly like sorting by descriptor sequence (ids are ranks), so the
+/// list comes out in the same ascending order as a map keyed by the
+/// descriptors themselves.
 pub fn observations_for_cached(
     db: &TraceDb,
     matrix: &MemberMatrix,
     kind: AccessKind,
     cache: &mut ResolutionCache,
 ) -> Vec<Observation> {
-    let units: Vec<Unit> = matrix.relevant_units(kind);
-    let mut agg: BTreeMap<Vec<LockDescriptor>, u64> = BTreeMap::new();
-    for unit in units {
-        // Cache the *complete* resolved sequence: the checker and the
-        // violation finder reuse this cache for compliance checks, and a
-        // truncated entry would silently hide held locks from their
-        // counterexamples. Enumeration applies its own MAX_SEQ_LEN cap.
-        let seq = cache.entry(unit).or_insert_with(|| {
-            let (txn_id, alloc_id) = unit;
-            let txn = db.txn(txn_id);
-            let lock_ids: Vec<_> = txn.locks.iter().map(|h| h.lock).collect();
-            resolve_txn_locks(db, alloc_id, &lock_ids)
-        });
-        // Look up by slice first: a sequence is cloned only the first
-        // time it is seen, not once per unit.
-        match agg.get_mut(seq.as_slice()) {
-            Some(count) => *count += 1,
-            None => {
-                agg.insert(seq.clone(), 1);
-            }
+    let mut touched = std::mem::take(&mut cache.touched);
+    for (&unit, cell) in &matrix.cells {
+        if cell.wor_kind() != Some(kind) {
+            continue;
         }
+        let id = cache.resolve(db, unit);
+        let slot = id as usize;
+        if slot >= cache.counts.len() {
+            cache.counts.resize(slot + 1, 0);
+        }
+        if cache.counts[slot] == 0 {
+            touched.push(id);
+        }
+        cache.counts[slot] += 1;
     }
-    agg.into_iter()
-        .map(|(locks, count)| Observation { locks, count })
-        .collect()
+    touched.sort_unstable_by(|&a, &b| cache.sequence(a).cmp(cache.sequence(b)));
+    let table = Arc::clone(cache.table(db));
+    let observations = touched
+        .iter()
+        .map(|&id| Observation {
+            locks: table.descriptors(cache.sequence(id)),
+            count: std::mem::take(&mut cache.counts[id as usize]),
+        })
+        .collect();
+    touched.clear();
+    cache.touched = touched;
+    observations
 }
 
 /// Enumerates all distinct subsequences of `seq` (excluding the empty one).
@@ -163,7 +261,9 @@ fn subsequences(seq: &[LockDescriptor]) -> Vec<Vec<LockDescriptor>> {
 ///
 /// This is the paper's compliance check: all rule locks held, in the rule's
 /// relative order, with arbitrary extra locks in between.
-pub fn complies(held: &[LockDescriptor], rule: &[LockDescriptor]) -> bool {
+/// Generic over the lock representation, so passes can run it on ranked
+/// descriptor ids as well as on descriptors.
+pub fn complies<T: PartialEq>(held: &[T], rule: &[T]) -> bool {
     let mut it = held.iter();
     rule.iter().all(|r| it.any(|h| h == r))
 }

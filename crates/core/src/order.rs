@@ -91,20 +91,16 @@ impl OrderGraph {
     /// same-class locking needs instance-level rules, which lockdep also
     /// special-cases.
     pub fn build(db: &TraceDb) -> Self {
-        let mut graph = OrderGraph::default();
-        for txn in db.txns.iter() {
-            graph.record_txn(db, txn.locks);
-        }
-        graph
+        Self::build_par(db, 1)
     }
 
     /// [`OrderGraph::build`] sharded across `jobs` workers.
     ///
     /// Transactions are split into contiguous chunks; the partial edge
     /// maps merge back in chunk order, summing counts and keeping the
-    /// earliest witness. Since the serial build's witness is also the
-    /// first occurrence in transaction order, the result is
-    /// byte-identical to `build` at any worker count.
+    /// earliest witness, which is the first occurrence in transaction
+    /// order. The result is therefore byte-identical at any worker count
+    /// (`jobs = 1` is one chunk).
     pub fn build_par(db: &TraceDb, jobs: usize) -> Self {
         // The columnar txn table has no slice to hand to `chunks_for`;
         // split the id space into the same contiguous ranges instead.

@@ -29,12 +29,15 @@
 //! Sharding follows `violation.rs`: one shard per observation group on
 //! [`lockdoc_platform::par`], byte-identical output at any jobs count.
 
-use crate::lockset::{resolve_txn_locks, LockDescriptor};
+use crate::hypothesis::ResolutionCache;
+use crate::lockset::{DescriptorTable, LockDescriptor};
+use lockdoc_platform::hash::FastMap;
 use lockdoc_platform::par::par_map;
-use lockdoc_trace::db::{FlowKey, GroupKey, TraceDb};
+use lockdoc_trace::db::{Access, FlowKey, GroupKey, TraceDb};
 use lockdoc_trace::event::{AccessKind, ContextKind, SourceLoc};
-use lockdoc_trace::ids::{AllocId, DataTypeId, StackId, Sym, TxnId};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use lockdoc_trace::ids::{DataTypeId, StackId, Sym};
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// One side of a race witness pair: a fully resolved access.
 #[derive(Debug, Clone, PartialEq)]
@@ -216,19 +219,41 @@ pub fn find_races(db: &TraceDb) -> RaceReport {
 /// keeps the report identical at any worker count).
 pub fn find_races_par(db: &TraceDb, jobs: usize) -> RaceReport {
     let groups = db.observation_groups();
+    let table = Arc::new(DescriptorTable::build(db));
     RaceReport {
-        groups: par_map(jobs, &groups, |&g| scan_group(db, g)),
+        groups: par_map(jobs, &groups, |&g| scan_group(db, &table, g)),
     }
 }
 
-/// Per-access facts the detector aggregates, one representative per
-/// distinct `(flow, is-write, real lockset)` combination.
+/// One representative per distinct `(flow, is-write, real lockset)`
+/// combination of a member: the earliest such access, with its locksets
+/// as sequence ids of the group's [`ResolutionCache`]. It becomes a
+/// [`RaceAccess`] only if it ends up in the witness pair.
 struct Rep {
     flow: FlowKey,
     write: bool,
     /// The real lockset, sorted and deduplicated.
-    locks: Vec<LockDescriptor>,
-    access: RaceAccess,
+    set: u32,
+    /// The real locks in acquisition order, as a witness side reports them.
+    seq: u32,
+    /// Interned flow name.
+    flow_name: u32,
+    access: Access,
+}
+
+/// The intersection of effective locksets: the real locks every access
+/// held, plus the `flow:<name>` exclusion pseudo-lock while every access
+/// ran on a flow of the same name. No real lock is a flow pseudo-lock, so
+/// the two parts intersect independently; only emptiness is ever read.
+struct Candidate {
+    real: Vec<u32>,
+    flow: Option<u32>,
+}
+
+impl Candidate {
+    fn is_empty(&self) -> bool {
+        self.real.is_empty() && self.flow.is_none()
+    }
 }
 
 /// Running per-member state.
@@ -237,63 +262,94 @@ struct MemberState {
     accesses: u64,
     writes: u64,
     flows: BTreeSet<FlowKey>,
-    /// Intersection of effective locksets (real locks plus the per-flow
-    /// pseudo-lock); `None` until the first access. Only its emptiness is
-    /// ever read.
-    candidate: Option<Vec<LockDescriptor>>,
+    /// `None` until the first access.
+    candidate: Option<Candidate>,
     reps: Vec<Rep>,
 }
 
-/// The real lockset of one `(txn, alloc)` unit, resolved once per scan.
-#[derive(Default)]
-struct Held {
-    /// Descriptors in acquisition order, as a witness side reports them.
-    ordered: Vec<LockDescriptor>,
-    /// The same descriptors sorted, for set tests.
-    sorted: Vec<LockDescriptor>,
+/// Per-group scan state: resolved locksets and interned flow names.
+struct GroupScan {
+    table: Arc<DescriptorTable>,
+    cache: ResolutionCache,
+    /// Sequence id → id of its sorted form, or `u32::MAX` until needed.
+    sorted: Vec<u32>,
+    flow_ids: FastMap<FlowKey, u32>,
+    /// Distinct flow names; flows that share a name share an id, as they
+    /// share a `flow:<name>` pseudo-lock.
+    flow_names: Vec<String>,
 }
 
-impl Held {
-    fn resolve(db: &TraceDb, txn: TxnId, alloc: AllocId) -> Self {
-        let lock_ids: Vec<_> = db.txn(txn).locks.iter().map(|h| h.lock).collect();
-        let ordered = resolve_txn_locks(db, alloc, &lock_ids);
-        let mut sorted = ordered.clone();
-        sorted.sort();
-        Held { ordered, sorted }
+impl GroupScan {
+    fn new(table: &Arc<DescriptorTable>) -> Self {
+        GroupScan {
+            table: Arc::clone(table),
+            cache: ResolutionCache::with_table(Arc::clone(table)),
+            sorted: Vec::new(),
+            flow_ids: FastMap::default(),
+            flow_names: Vec::new(),
+        }
     }
-}
 
-/// A flow's display name and its `flow:<name>` exclusion pseudo-lock,
-/// built once per flow per scan.
-struct Flow {
-    name: String,
-    lock: LockDescriptor,
-}
+    /// The access's real lockset as `(sorted set, acquisition order)`
+    /// sequence ids.
+    fn held(&mut self, db: &TraceDb, access: &Access) -> (u32, u32) {
+        let seq = match access.txn {
+            Some(txn) => self.cache.resolve(db, (txn, access.alloc)),
+            None => self.cache.intern(&[]),
+        };
+        let slot = seq as usize;
+        if slot >= self.sorted.len() {
+            self.sorted.resize(slot + 1, u32::MAX);
+        }
+        if self.sorted[slot] == u32::MAX {
+            let mut set = self.cache.sequence(seq).to_vec();
+            set.sort_unstable();
+            self.sorted[slot] = self.cache.intern(&set);
+        }
+        (self.sorted[slot], seq)
+    }
 
-impl Flow {
-    fn new(db: &TraceDb, flow: FlowKey) -> Self {
+    fn flow(&mut self, db: &TraceDb, flow: FlowKey) -> u32 {
+        if let Some(&id) = self.flow_ids.get(&flow) {
+            return id;
+        }
         let name = flow_name(db, flow);
-        let lock = LockDescriptor::pseudo(&format!("flow:{name}"));
-        Flow { name, lock }
+        let id = match self.flow_names.iter().position(|n| *n == name) {
+            Some(i) => i as u32,
+            None => {
+                self.flow_names.push(name);
+                self.flow_names.len() as u32 - 1
+            }
+        };
+        self.flow_ids.insert(flow, id);
+        id
+    }
+
+    fn set(&self, rep: &Rep) -> &[u32] {
+        self.cache.sequence(rep.set)
+    }
+
+    /// Materializes a witness side.
+    fn race_access(&self, rep: &Rep) -> RaceAccess {
+        RaceAccess {
+            kind: rep.access.kind,
+            context: rep.access.context,
+            flow: self.flow_names[rep.flow_name as usize].clone(),
+            held: self.table.descriptors(self.cache.sequence(rep.seq)),
+            loc: rep.access.loc,
+            stack: rep.access.stack,
+            access_id: rep.access.id,
+        }
     }
 }
 
-fn scan_group(db: &TraceDb, group: GroupKey) -> GroupRaces {
-    let mut resolved: HashMap<(TxnId, AllocId), Held> = HashMap::new();
-    let mut flows: HashMap<FlowKey, Flow> = HashMap::new();
+fn scan_group(db: &TraceDb, table: &Arc<DescriptorTable>, group: GroupKey) -> GroupRaces {
+    let mut scan = GroupScan::new(table);
     let mut members: BTreeMap<u32, MemberState> = BTreeMap::new();
-    let no_locks = Held::default();
 
     for access in db.group_accesses(group) {
-        let held = match access.txn {
-            Some(txn) => &*resolved
-                .entry((txn, access.alloc))
-                .or_insert_with(|| Held::resolve(db, txn, access.alloc)),
-            None => &no_locks,
-        };
-        let flow = flows
-            .entry(access.flow)
-            .or_insert_with(|| Flow::new(db, access.flow));
+        let (set, seq) = scan.held(db, &access);
+        let flow_name = scan.flow(db, access.flow);
         let state = members.entry(access.member).or_default();
         state.accesses += 1;
         let write = access.kind == AccessKind::Write;
@@ -304,13 +360,18 @@ fn scan_group(db: &TraceDb, group: GroupKey) -> GroupRaces {
 
         // Intersect with the effective lockset: real locks plus the
         // single-core flow exclusion pseudo-lock.
+        let held = scan.cache.sequence(set);
         match &mut state.candidate {
             None => {
-                let mut effective = held.sorted.clone();
-                effective.push(flow.lock.clone());
-                state.candidate = Some(effective);
+                state.candidate = Some(Candidate {
+                    real: held.to_vec(),
+                    flow: Some(flow_name),
+                })
             }
-            Some(cur) => cur.retain(|l| *l == flow.lock || held.sorted.binary_search(l).is_ok()),
+            Some(cur) => {
+                cur.real.retain(|l| held.binary_search(l).is_ok());
+                cur.flow = cur.flow.filter(|&f| f == flow_name);
+            }
         }
 
         // Representative bookkeeping for witness-pair selection: keep the
@@ -318,31 +379,30 @@ fn scan_group(db: &TraceDb, group: GroupKey) -> GroupRaces {
         let seen = state
             .reps
             .iter()
-            .any(|r| r.flow == access.flow && r.write == write && r.locks == held.sorted);
+            .any(|r| r.flow == access.flow && r.write == write && r.set == set);
         if !seen {
             state.reps.push(Rep {
                 flow: access.flow,
                 write,
-                locks: held.sorted.clone(),
-                access: RaceAccess {
-                    kind: access.kind,
-                    context: access.context,
-                    flow: flow.name.clone(),
-                    held: held.ordered.clone(),
-                    loc: access.loc,
-                    stack: access.stack,
-                    access_id: access.id,
-                },
+                set,
+                seq,
+                flow_name,
+                access,
             });
         }
     }
-    finish_group(db, group, &members)
+    finish_group(db, group, &members, &scan)
 }
 
 /// Turns the per-member states of one group into its race summary:
 /// members whose candidate lockset emptied out and that saw a write are
 /// reported with a witness pair, or tallied as pairless.
-fn finish_group(db: &TraceDb, group: GroupKey, members: &BTreeMap<u32, MemberState>) -> GroupRaces {
+fn finish_group(
+    db: &TraceDb,
+    group: GroupKey,
+    members: &BTreeMap<u32, MemberState>,
+    scan: &GroupScan,
+) -> GroupRaces {
     let group_name = db.group_name(group);
     let mut out = GroupRaces {
         group_name: group_name.clone(),
@@ -353,19 +413,22 @@ fn finish_group(db: &TraceDb, group: GroupKey, members: &BTreeMap<u32, MemberSta
         candidates: Vec::new(),
     };
     for (member, state) in members {
-        let empty = state.candidate.as_ref().is_some_and(|c| c.is_empty());
+        let empty = state.candidate.as_ref().is_some_and(Candidate::is_empty);
         if !empty || state.writes == 0 {
             continue;
         }
-        match best_pair(&state.reps) {
-            Some(witness) => out.candidates.push(RaceCandidate {
+        match best_pair(&state.reps, scan) {
+            Some((first, second)) => out.candidates.push(RaceCandidate {
                 group_name: group_name.clone(),
                 member: *member,
                 member_name: db.member_name(group.0, *member).to_owned(),
                 accesses: state.accesses,
                 writes: state.writes,
                 flows: state.flows.len() as u64,
-                witness,
+                witness: RacePair {
+                    first: scan.race_access(first),
+                    second: scan.race_access(second),
+                },
             }),
             None => out.pairless += 1,
         }
@@ -377,8 +440,9 @@ fn finish_group(db: &TraceDb, group: GroupKey, members: &BTreeMap<u32, MemberSta
 /// maximize (lock-free write sides, write sides, task-context sides),
 /// breaking ties toward the earliest access ids. Preferring task/task
 /// pairs keeps single-core IRQ exclusion caveats out of the primary
-/// witness whenever a cleaner pair exists.
-fn best_pair(reps: &[Rep]) -> Option<RacePair> {
+/// witness whenever a cleaner pair exists. Returns the pair in access
+/// order.
+fn best_pair<'a>(reps: &'a [Rep], scan: &GroupScan) -> Option<(&'a Rep, &'a Rep)> {
     type PairKey = (u32, u32, u32, std::cmp::Reverse<(u64, u64)>);
     let mut best: Option<(PairKey, &Rep, &Rep)> = None;
     for (i, a) in reps.iter().enumerate() {
@@ -386,10 +450,11 @@ fn best_pair(reps: &[Rep]) -> Option<RacePair> {
             if a.flow == b.flow || (!a.write && !b.write) {
                 continue;
             }
-            if a.locks.iter().any(|l| b.locks.binary_search(l).is_ok()) {
+            let b_set = scan.set(b);
+            if scan.set(a).iter().any(|l| b_set.binary_search(l).is_ok()) {
                 continue;
             }
-            let (first, second) = if a.access.access_id <= b.access.access_id {
+            let (first, second) = if a.access.id <= b.access.id {
                 (a, b)
             } else {
                 (b, a)
@@ -398,24 +463,21 @@ fn best_pair(reps: &[Rep]) -> Option<RacePair> {
             let key: PairKey = (
                 sides
                     .iter()
-                    .filter(|r| r.write && r.locks.is_empty())
+                    .filter(|r| r.write && scan.set(r).is_empty())
                     .count() as u32,
                 sides.iter().filter(|r| r.write).count() as u32,
                 sides
                     .iter()
                     .filter(|r| r.access.context == ContextKind::Task)
                     .count() as u32,
-                std::cmp::Reverse((first.access.access_id, second.access.access_id)),
+                std::cmp::Reverse((first.access.id, second.access.id)),
             );
             if best.as_ref().is_none_or(|(k, _, _)| key > *k) {
                 best = Some((key, first, second));
             }
         }
     }
-    best.map(|(_, first, second)| RacePair {
-        first: first.access.clone(),
-        second: second.access.clone(),
-    })
+    best.map(|(_, first, second)| (first, second))
 }
 
 #[cfg(test)]
@@ -423,11 +485,27 @@ mod tests {
     use super::*;
     use crate::clock::clock_db;
 
-    /// The per-access loop as it was before the resolution and flow
-    /// caches, kept as a naive reference: it filters the whole access
-    /// table per group, resolves every access's lockset from scratch and
-    /// builds the effective lockset as a fresh set each time.
+    /// A naive, string-based race detector kept as a reference: it filters
+    /// the whole access table per group, resolves every access's lockset
+    /// to descriptors from scratch, intersects effective locksets as
+    /// fresh descriptor sets (the `flow:<name>` pseudo-lock included), and
+    /// picks the witness by trying every representative pair.
     fn find_races_reference(db: &TraceDb) -> RaceReport {
+        use crate::lockset::resolve_txn_locks;
+        struct NaiveRep {
+            flow: FlowKey,
+            write: bool,
+            locks: BTreeSet<LockDescriptor>,
+            access: RaceAccess,
+        }
+        #[derive(Default)]
+        struct NaiveMember {
+            accesses: u64,
+            writes: u64,
+            flows: BTreeSet<FlowKey>,
+            candidate: Option<BTreeSet<LockDescriptor>>,
+            reps: Vec<NaiveRep>,
+        }
         let groups: BTreeSet<GroupKey> = db
             .accesses
             .iter()
@@ -436,7 +514,7 @@ mod tests {
         let groups = groups
             .into_iter()
             .map(|group| {
-                let mut members: BTreeMap<u32, MemberState> = BTreeMap::new();
+                let mut members: BTreeMap<u32, NaiveMember> = BTreeMap::new();
                 let rows = db
                     .accesses
                     .iter()
@@ -456,24 +534,25 @@ mod tests {
                         state.writes += 1;
                     }
                     state.flows.insert(access.flow);
-                    let mut effective: BTreeSet<LockDescriptor> = held.iter().cloned().collect();
+                    let real: BTreeSet<LockDescriptor> = held.iter().cloned().collect();
+                    let mut effective = real.clone();
                     effective.insert(LockDescriptor::pseudo(&format!(
                         "flow:{}",
                         flow_name(db, access.flow)
                     )));
                     match &mut state.candidate {
-                        None => state.candidate = Some(effective.into_iter().collect()),
+                        None => state.candidate = Some(effective),
                         Some(cur) => cur.retain(|l| effective.contains(l)),
                     }
-                    let real: BTreeSet<LockDescriptor> = held.iter().cloned().collect();
-                    let seen = state.reps.iter().any(|r| {
-                        r.flow == access.flow && r.write == write && r.locks.iter().eq(&real)
-                    });
+                    let seen = state
+                        .reps
+                        .iter()
+                        .any(|r| r.flow == access.flow && r.write == write && r.locks == real);
                     if !seen {
-                        state.reps.push(Rep {
+                        state.reps.push(NaiveRep {
                             flow: access.flow,
                             write,
-                            locks: real.into_iter().collect(),
+                            locks: real,
                             access: RaceAccess {
                                 kind: access.kind,
                                 context: access.context,
@@ -486,7 +565,58 @@ mod tests {
                         });
                     }
                 }
-                finish_group(db, group, &members)
+                let group_name = db.group_name(group);
+                let mut out = GroupRaces {
+                    group_name: group_name.clone(),
+                    data_type: group.0,
+                    subclass: group.1,
+                    members_checked: members.len() as u64,
+                    pairless: 0,
+                    candidates: Vec::new(),
+                };
+                for (member, state) in &members {
+                    let empty = state.candidate.as_ref().is_some_and(|c| c.is_empty());
+                    if !empty || state.writes == 0 {
+                        continue;
+                    }
+                    // Every conflicting pair in access order; larger keys
+                    // are better, and earlier ids win ties.
+                    let pairs = state
+                        .reps
+                        .iter()
+                        .flat_map(|a| state.reps.iter().map(move |b| (a, b)))
+                        .filter(|(a, b)| {
+                            a.flow != b.flow
+                                && (a.write || b.write)
+                                && a.locks.is_disjoint(&b.locks)
+                                && a.access.access_id < b.access.access_id
+                        });
+                    let best = pairs.max_by_key(|&(a, b)| {
+                        let count = |f: fn(&NaiveRep) -> bool| f(a) as u8 + f(b) as u8;
+                        (
+                            count(|r| r.write && r.locks.is_empty()),
+                            count(|r| r.write),
+                            count(|r| r.access.context == ContextKind::Task),
+                            std::cmp::Reverse((a.access.access_id, b.access.access_id)),
+                        )
+                    });
+                    match best {
+                        Some((a, b)) => out.candidates.push(RaceCandidate {
+                            group_name: group_name.clone(),
+                            member: *member,
+                            member_name: db.member_name(group.0, *member).to_owned(),
+                            accesses: state.accesses,
+                            writes: state.writes,
+                            flows: state.flows.len() as u64,
+                            witness: RacePair {
+                                first: a.access.clone(),
+                                second: b.access.clone(),
+                            },
+                        }),
+                        None => out.pairless += 1,
+                    }
+                }
+                out
             })
             .collect();
         RaceReport { groups }

@@ -3,14 +3,16 @@
 //! reports everything a developer needs to investigate — member, required
 //! locks, actually held locks, source location, and stack trace.
 
-use crate::derive::{GroupRules, MinedRules};
-use crate::hypothesis::complies;
-use crate::lockset::{resolve_txn_locks, LockDescriptor};
+use crate::derive::{GroupRules, MinedRule, MinedRules};
+use crate::hypothesis::{complies, ResolutionCache};
+use crate::lockset::{DescriptorTable, LockDescriptor};
+use lockdoc_platform::hash::{FastMap, FastSet};
 use lockdoc_platform::par::par_map;
 use lockdoc_trace::db::TraceDb;
 use lockdoc_trace::event::{AccessKind, SourceLoc};
 use lockdoc_trace::ids::{AllocId, StackId, TxnId};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// One rule-violating memory access.
 #[derive(Debug, Clone, PartialEq)]
@@ -95,23 +97,38 @@ pub fn find_violations_par(
     max_examples: usize,
     jobs: usize,
 ) -> Vec<GroupViolations> {
+    let table = Arc::new(DescriptorTable::build(db));
     par_map(jobs, &mined.groups, |group_rules| {
-        scan_group(db, group_rules, max_examples)
+        scan_group(db, &table, group_rules, max_examples)
     })
 }
 
+/// Stands for a required descriptor no lock of the trace resolves to: it
+/// is never held, so a rule naming it is never complied with.
+const NEVER_HELD: u32 = u32::MAX;
+
 /// Scans one observation group for accesses violating its mined rules,
-/// with a group-local `(txn, alloc)` lock-resolution cache.
-fn scan_group(db: &TraceDb, group_rules: &GroupRules, max_examples: usize) -> GroupViolations {
+/// with a group-local `(txn, alloc)` resolution cache. Compliance runs on
+/// descriptor ids; only the materialized examples carry descriptors.
+fn scan_group(
+    db: &TraceDb,
+    table: &Arc<DescriptorTable>,
+    group_rules: &GroupRules,
+    max_examples: usize,
+) -> GroupViolations {
     let group = (group_rules.data_type, group_rules.subclass);
-    // Cache txn lock resolution per (txn, alloc).
-    let mut resolved: HashMap<(TxnId, AllocId), Vec<LockDescriptor>> = HashMap::new();
-    // (member idx, kind) -> required locks, for rules with locks.
-    let ruled: HashMap<(u32, AccessKind), &Vec<LockDescriptor>> = group_rules
+    let mut cache = ResolutionCache::with_table(Arc::clone(table));
+    // (member idx, kind) -> required lock ids and the rule, for rules with
+    // locks.
+    let ruled: FastMap<(u32, AccessKind), (Vec<u32>, &MinedRule)> = group_rules
         .rules
         .iter()
         .filter(|r| !r.winner.hypothesis.locks.is_empty())
-        .map(|r| ((r.member, r.kind), &r.winner.hypothesis.locks))
+        .map(|r| {
+            let locks = r.winner.hypothesis.locks.iter();
+            let ids = locks.map(|d| table.id_of(d).unwrap_or(NEVER_HELD));
+            ((r.member, r.kind), (ids.collect(), r))
+        })
         .collect();
     let mut gv = GroupViolations {
         group_name: group_rules.group_name.clone(),
@@ -129,13 +146,13 @@ fn scan_group(db: &TraceDb, group_rules: &GroupRules, max_examples: usize) -> Gr
         // as well: a read inside a unit that also writes the member is
         // covered by the write rule (checked via the unit's writes),
         // so it must not be reported against the read rule.
-        let written_units: HashSet<(TxnId, AllocId, u32)> = db
+        let written_units: FastSet<(TxnId, AllocId, u32)> = db
             .group_accesses(group)
             .filter(|a| a.kind == AccessKind::Write)
             .filter_map(|a| a.txn.map(|t| (t, a.alloc, a.member)))
             .collect();
         for access in db.group_accesses(group) {
-            let Some(&required) = ruled.get(&(access.member, access.kind)) else {
+            let Some((required, rule)) = ruled.get(&(access.member, access.kind)) else {
                 continue;
             };
             let Some(txn_id) = access.txn else { continue };
@@ -144,12 +161,8 @@ fn scan_group(db: &TraceDb, group_rules: &GroupRules, max_examples: usize) -> Gr
             {
                 continue;
             }
-            let held = resolved.entry((txn_id, access.alloc)).or_insert_with(|| {
-                let txn = db.txn(txn_id);
-                let lock_ids: Vec<_> = txn.locks.iter().map(|h| h.lock).collect();
-                resolve_txn_locks(db, access.alloc, &lock_ids)
-            });
-            if complies(held, required) {
+            let held = cache.resolve(db, (txn_id, access.alloc));
+            if complies(cache.sequence(held), required) {
                 continue;
             }
             gv.events += 1;
@@ -166,8 +179,8 @@ fn scan_group(db: &TraceDb, group_rules: &GroupRules, max_examples: usize) -> Gr
                     group_name: gv.group_name.clone(),
                     member_name: member_name.to_owned(),
                     kind: access.kind,
-                    required: required.clone(),
-                    held: held.clone(),
+                    required: rule.winner.hypothesis.locks.clone(),
+                    held: table.descriptors(cache.sequence(held)),
                     loc: access.loc,
                     stack: access.stack,
                     access_id: access.id,
@@ -205,6 +218,145 @@ mod tests {
     use super::*;
     use crate::clock::clock_db;
     use crate::derive::{derive, DeriveConfig};
+
+    /// The per-access string loop as it was before descriptor ids, kept as
+    /// a naive reference: it filters the whole access table per group and
+    /// resolves every access's held locks to descriptors from scratch.
+    fn find_violations_reference(
+        db: &TraceDb,
+        mined: &MinedRules,
+        max_examples: usize,
+    ) -> Vec<GroupViolations> {
+        use crate::lockset::resolve_txn_locks;
+        mined
+            .groups
+            .iter()
+            .map(|group_rules| {
+                let group = (group_rules.data_type, group_rules.subclass);
+                let rows = || {
+                    db.accesses
+                        .iter()
+                        .filter(move |a| (a.data_type, a.subclass) == group)
+                };
+                let written: BTreeSet<(TxnId, AllocId, u32)> = rows()
+                    .filter(|a| a.kind == AccessKind::Write)
+                    .filter_map(|a| a.txn.map(|t| (t, a.alloc, a.member)))
+                    .collect();
+                let mut gv = GroupViolations {
+                    group_name: group_rules.group_name.clone(),
+                    events: 0,
+                    members: BTreeSet::new(),
+                    contexts: BTreeSet::new(),
+                    per_member: Vec::new(),
+                    examples: Vec::new(),
+                };
+                let mut tallies: BTreeMap<(String, AccessKind), (u64, u64)> = BTreeMap::new();
+                for access in rows() {
+                    let rule = group_rules.rules.iter().find(|r| {
+                        r.member == access.member
+                            && r.kind == access.kind
+                            && !r.winner.hypothesis.locks.is_empty()
+                    });
+                    let (Some(rule), Some(txn_id)) = (rule, access.txn) else {
+                        continue;
+                    };
+                    if access.kind == AccessKind::Read
+                        && written.contains(&(txn_id, access.alloc, access.member))
+                    {
+                        continue;
+                    }
+                    let lock_ids: Vec<_> = db.txn(txn_id).locks.iter().map(|h| h.lock).collect();
+                    let held = resolve_txn_locks(db, access.alloc, &lock_ids);
+                    let required = &rule.winner.hypothesis.locks;
+                    if complies(&held, required) {
+                        continue;
+                    }
+                    gv.events += 1;
+                    let member_name = db.member_name(access.data_type, access.member).to_owned();
+                    let tally = tallies
+                        .entry((member_name.clone(), access.kind))
+                        .or_default();
+                    tally.0 += 1;
+                    if access.context != lockdoc_trace::event::ContextKind::Task {
+                        tally.1 += 1;
+                    }
+                    gv.members.insert(member_name.clone());
+                    gv.contexts.insert((access.loc, access.stack));
+                    if gv.examples.len() < max_examples {
+                        gv.examples.push(ViolationEvent {
+                            group_name: gv.group_name.clone(),
+                            member_name,
+                            kind: access.kind,
+                            required: required.clone(),
+                            held,
+                            loc: access.loc,
+                            stack: access.stack,
+                            access_id: access.id,
+                        });
+                    }
+                }
+                gv.per_member = tallies
+                    .into_iter()
+                    .map(
+                        |((member_name, kind), (events, irq_events))| MemberViolationCounts {
+                            member_name,
+                            kind,
+                            events,
+                            irq_events,
+                        },
+                    )
+                    .collect();
+                gv
+            })
+            .collect()
+    }
+
+    /// The id-based, index-driven scan equals the naive reference on
+    /// random multi-flow traces, serially and sharded: examples, tallies
+    /// and contexts alike. Rules are mined at a low threshold so most
+    /// members carry a lock rule, and each case is also scanned against
+    /// rules that additionally require a lock the trace never holds.
+    #[test]
+    fn violation_scan_matches_naive_reference() {
+        use crate::derive::{derive_par, DeriveConfig};
+        use lockdoc_platform::prop::{self, vec_of};
+        use lockdoc_platform::prop_assert_eq;
+        use lockdoc_platform::rng::Rng;
+        use lockdoc_trace::filter::FilterConfig;
+        use lockdoc_trace::testgen::{build_multiflow_trace, flow_op_gen};
+        let cfg = prop::Config {
+            cases: 60,
+            ..prop::Config::from_env()
+        };
+        let gen = |rng: &mut Rng| vec_of(rng, 0..400, flow_op_gen);
+        prop::check_with(&cfg, "violation_scan_matches_naive_reference", gen, |ops| {
+            let db = lockdoc_trace::db::import(
+                &build_multiflow_trace(ops),
+                &FilterConfig::with_defaults(),
+                1,
+            );
+            let mined = derive_par(&db, &DeriveConfig::with_threshold(0.3), 1);
+            let mut unheld = mined.clone();
+            for rule in unheld.groups.iter_mut().flat_map(|g| &mut g.rules) {
+                rule.winner
+                    .hypothesis
+                    .locks
+                    .push(LockDescriptor::global("never_held"));
+            }
+            for rules in [&mined, &unheld] {
+                let reference = find_violations_reference(&db, rules, 3);
+                for jobs in [1usize, 4] {
+                    prop_assert_eq!(
+                        &find_violations_par(&db, rules, 3, jobs),
+                        &reference,
+                        "violations differ at jobs = {}",
+                        jobs
+                    );
+                }
+            }
+            Ok(())
+        });
+    }
 
     #[test]
     fn finds_the_injected_clock_bug() {
